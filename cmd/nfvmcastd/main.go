@@ -23,9 +23,11 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
+	"nfvmcast/internal/core"
 	"nfvmcast/internal/daemon"
 )
 
@@ -36,6 +38,16 @@ func main() {
 	}
 }
 
+// plannerNames lists the registered admission planners for the -policy
+// help text.
+func plannerNames() string {
+	var names []string
+	for _, spec := range core.Planners() {
+		names = append(names, spec.Name)
+	}
+	return strings.Join(names, " | ")
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("nfvmcastd", flag.ContinueOnError)
 	var (
@@ -44,7 +56,7 @@ func run(args []string) error {
 		topoName      = fs.String("topology", "geant", "topology: geant | as1755 | as4755 | waxman | fattree")
 		nodes         = fs.Int("nodes", 100, "network size (waxman only)")
 		seed          = fs.Int64("seed", 42, "substrate seed (capacities, costs, servers)")
-		policy        = fs.String("policy", "Online_CP", "admission planner: Online_CP | SP")
+		policy        = fs.String("policy", "Online_CP", "admission planner: "+plannerNames())
 		shards        = fs.Int("shards", 1, "shard count")
 		workers       = fs.Int("workers", 0, "admission workers per shard (0 = engine default)")
 		batchWindow   = fs.Int("batch-window", 0, "epoch batch window per shard (0 = unbatched)")

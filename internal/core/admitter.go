@@ -27,13 +27,26 @@ type Admitter struct {
 	lives   *liveTable
 	obs     *obs.AdmissionObs // nil-safe hooks; nil = observability off
 
-	admitted []*Solution
-	rejected int
+	admitted  []*Solution // admission history; stays nil without keepAdmitted
+	admittedN int
+	rejected  int
+
+	keepAdmitted bool
 }
 
 // NewAdmitter returns an admitter committing planner's proposals onto
-// nw.
+// nw. It keeps every admitted solution for Admitted.
 func NewAdmitter(nw *sdn.Network, planner Planner) *Admitter {
+	a := NewCountingAdmitter(nw, planner)
+	a.keepAdmitted = true
+	return a
+}
+
+// NewCountingAdmitter is NewAdmitter for long-running owners such as
+// the admission engine: it counts admissions but keeps no history of
+// them, so its memory is bounded by the live sessions, and Admitted
+// returns nothing.
+func NewCountingAdmitter(nw *sdn.Network, planner Planner) *Admitter {
 	return &Admitter{nw: nw, planner: planner, lives: newLiveTable(nw)}
 }
 
@@ -92,8 +105,7 @@ func (a *Admitter) Commit(req *multicast.Request, sol *Solution) (*Solution, err
 	if err := a.nw.Allocate(alloc); err != nil {
 		return nil, err
 	}
-	a.lives.record(req, sol, alloc)
-	a.admitted = append(a.admitted, sol)
+	a.recordAdmitted(req, sol, alloc)
 	a.obs.CommitDone(start, req.ID, sol.Servers, sol.OperationalCost)
 	return sol, nil
 }
@@ -137,9 +149,17 @@ func (a *Admitter) Restore(req *multicast.Request, sol *Solution) error {
 	if err := a.nw.Allocate(alloc); err != nil {
 		return err
 	}
-	a.lives.record(req, sol, alloc)
-	a.admitted = append(a.admitted, sol)
+	a.recordAdmitted(req, sol, alloc)
 	return nil
+}
+
+// recordAdmitted records an allocated session live and counts it.
+func (a *Admitter) recordAdmitted(req *multicast.Request, sol *Solution, alloc sdn.Allocation) {
+	a.lives.record(req, sol, alloc)
+	a.admittedN++
+	if a.keepAdmitted {
+		a.admitted = append(a.admitted, sol)
+	}
 }
 
 // RestoreReplace is the replay form of a repair or re-optimisation
@@ -192,7 +212,8 @@ func (a *Admitter) LiveCount() int { return a.lives.live() }
 // fuzz targets check continuously.
 func (a *Admitter) Lives() []*Solution { return a.lives.solutions() }
 
-// Admitted returns the solutions admitted so far (shared slice copy).
+// Admitted returns the solutions admitted so far (shared slice copy);
+// it is empty for an admitter from NewCountingAdmitter.
 func (a *Admitter) Admitted() []*Solution {
 	out := make([]*Solution, len(a.admitted))
 	copy(out, a.admitted)
@@ -200,7 +221,7 @@ func (a *Admitter) Admitted() []*Solution {
 }
 
 // AdmittedCount reports |S(k)|.
-func (a *Admitter) AdmittedCount() int { return len(a.admitted) }
+func (a *Admitter) AdmittedCount() int { return a.admittedN }
 
 // RejectedCount reports how many requests were rejected.
 func (a *Admitter) RejectedCount() int { return a.rejected }

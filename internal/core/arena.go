@@ -6,7 +6,8 @@ import (
 
 // PlanArena owns the per-plan scratch memory of the online planners:
 // the Dijkstra workspace and Steiner scratch of the per-candidate KMB
-// runs, the hoisted terminal and LCA argument slices, and the closure
+// runs, the rooted tree each candidate is scored on, the hoisted
+// terminal, LCA argument and tree-path slices, and the closure
 // evaluator's per-candidate buffers. One arena serves one Plan call at
 // a time; the admission engine keeps one per planner worker so
 // concurrent planners never share scratch, and arena-less Plan calls
@@ -19,10 +20,14 @@ type PlanArena struct {
 	steiner graph.SteinerScratch
 	eval    evalScratch
 
+	rt      graph.RootedTree // the candidate Steiner tree, re-rooted per candidate
 	terms   []graph.NodeID
 	sps     []*graph.ShortestPaths
 	dstSPs  []*graph.ShortestPaths
 	lcaArgs []graph.NodeID
+
+	pathNodes []graph.NodeID // tree path being realised into a pseudo tree
+	pathEdges []graph.EdgeID
 }
 
 // NewPlanArena returns an empty arena. Arenas grow to workload size on

@@ -440,16 +440,17 @@ func (s *distSearch) realize(tuple []graph.NodeID, segd []float64, fin distFinal
 		prev = v
 	}
 	vm := tuple[len(tuple)-1]
-	rt, err := graph.NewRootedTree(s.w.g, fin.edges, vm)
+	rt := &s.arena.rt
+	err := rt.Reset(s.w.g, fin.edges, vm)
 	if err != nil {
 		return nil, err
 	}
 	for _, d := range s.req.Destinations {
-		nodes, edges, perr := rt.PathBetween(vm, d)
-		if perr != nil {
-			return nil, perr
+		s.arena.pathNodes, s.arena.pathEdges, err = rt.AppendPath(s.arena.pathNodes[:0], s.arena.pathEdges[:0], vm, d)
+		if err != nil {
+			return nil, err
 		}
-		if err := s.w.addHostPath(tree, nodes, edges, true); err != nil {
+		if err := s.w.addHostPath(tree, s.arena.pathNodes, s.arena.pathEdges, true); err != nil {
 			return nil, err
 		}
 	}

@@ -189,6 +189,41 @@ func TestOnlineCPSequenceInvariants(t *testing.T) {
 	}
 }
 
+// TestCountingAdmitterKeepsNoHistory checks the engine's admitter form:
+// the same decisions and counters as NewAdmitter, with no admitted
+// solutions retained once their sessions can depart.
+func TestCountingAdmitterKeepsNoHistory(t *testing.T) {
+	nw := testNetwork(t, 40, 5)
+	p, err := NewCPPlanner(DefaultCostModel(nw.NumNodes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewCountingAdmitter(nw, p)
+	gen, err := multicast.NewGenerator(nw.NumNodes(), multicast.DefaultGeneratorConfig(), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		req, err := gen.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Admit(req); err != nil && !IsRejection(err) {
+			t.Fatal(err)
+		}
+	}
+	if a.AdmittedCount() == 0 || a.AdmittedCount()+a.RejectedCount() != 40 {
+		t.Fatalf("counters: %d admitted + %d rejected, want 40 with admits",
+			a.AdmittedCount(), a.RejectedCount())
+	}
+	if a.LiveCount() != a.AdmittedCount() {
+		t.Fatalf("live = %d, want %d", a.LiveCount(), a.AdmittedCount())
+	}
+	if got := a.Admitted(); len(got) != 0 || a.admitted != nil {
+		t.Fatalf("counting admitter retained %d solutions", len(got))
+	}
+}
+
 func TestOnlineSPSequence(t *testing.T) {
 	nw := testNetwork(t, 50, 12)
 	sp := NewOnlineSP(nw)

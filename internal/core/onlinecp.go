@@ -204,7 +204,7 @@ func (p *CPPlanner) PlanContext(
 		// exponential costs. The back-tracking term c(p_{v,u}) is a sum
 		// of non-negative link costs, so c(T) + c_v(SC_k) lower-bounds
 		// the selection cost — candidates that cannot beat the incumbent
-		// skip pseudo-tree realization entirely. A skipped candidate's
+		// skip the back-tracking walk entirely. A skipped candidate's
 		// true cost satisfies sel >= lower >= bestSelection, so it would
 		// have lost the strict `sel < bestSelection` comparison anyway:
 		// the chosen server and tree are bit-identical with or without
@@ -217,14 +217,28 @@ func (p *CPPlanner) PlanContext(
 		if lower >= bestSelection {
 			continue
 		}
-		tree, retCost, err := p.realize(nw, w, req, v, st, arena)
+		// Candidate scoring without realisation: only the incumbent
+		// needs its pseudo tree, so c(p_{v,u}) is summed on the arena's
+		// re-rooted Steiner tree by walking parent edges v→u, the order
+		// PathBetween(v, u) lists them in, and the tree is built only
+		// when the candidate takes the lead.
+		u, err := arena.rootCandidate(w, req, v, st)
 		if err != nil {
 			continue
 		}
-		sel := lower + retCost
-		if sel < bestSelection {
-			bestSelection, bestTree, bestServer = sel, tree, v
+		var retCost float64
+		for at := v; at != u; at = arena.rt.Parent(at) {
+			retCost += p.model.LinkCost(nw, w.hostEdge(arena.rt.ParentEdge(at)))
 		}
+		sel := lower + retCost
+		if sel >= bestSelection {
+			continue
+		}
+		tree, err := realizeSingleServer(w, req, v, u, arena)
+		if err != nil {
+			continue
+		}
+		bestSelection, bestTree, bestServer = sel, tree, v
 	}
 	if bestTree == nil {
 		return nil, fmt.Errorf("%w: %w: no admissible server/tree",
@@ -239,79 +253,61 @@ func (p *CPPlanner) PlanContext(
 	}, nil
 }
 
-// realize turns a Steiner tree over {s_k, v} ∪ D_k into the pseudo
-// tree of paper §V.B, pricing the back-tracking path with the model's
-// absolute exponential link cost.
-func (p *CPPlanner) realize(
-	nw *sdn.Network, w *workGraph, req *multicast.Request, v graph.NodeID, st *graph.SteinerTree,
-	arena *PlanArena,
-) (*multicast.PseudoTree, float64, error) {
-	return realizeSingleServer(w, req, v, st, arena, func(e graph.EdgeID) float64 {
-		return p.model.LinkCost(nw, e)
-	})
+// rootCandidate re-roots the Steiner tree st over {s_k, v} ∪ D_k at the
+// source in the arena's RootedTree and returns u = LCA(v, d_1, ..., d_m),
+// the node the processed stream back-tracks to from server v (Algorithm
+// 2, step 10). The rooted tree stays valid until the arena's next
+// rootCandidate.
+func (a *PlanArena) rootCandidate(
+	w *workGraph, req *multicast.Request, v graph.NodeID, st *graph.SteinerTree,
+) (graph.NodeID, error) {
+	if err := a.rt.Reset(w.g, st.EdgeIDs, req.Source); err != nil {
+		return 0, err
+	}
+	a.lcaArgs = append(a.lcaArgs[:0], v)
+	a.lcaArgs = append(a.lcaArgs, req.Destinations...)
+	return a.rt.LCAAll(a.lcaArgs...)
 }
 
-// realizeSingleServer turns a Steiner tree over {s_k, v} ∪ D_k into the
-// pseudo tree of paper §V.B: unprocessed traffic follows the tree path
-// s_k→v; processed traffic serves v's subtree directly and back-tracks
-// from v to u = LCA(v, d_1, ..., d_m) for the remaining destinations.
-// It returns the tree plus the cost of the back-tracking path c(p_{v,u})
-// priced by linkCost over host edge IDs — Online_CP prices it with the
-// exponential model, the repair planner with the operational unit cost.
-// Shared by CPPlanner.PlanContext and RepairReroute so a repaired tree
-// has exactly the structure a fresh plan would produce.
+// realizeSingleServer turns the Steiner tree over {s_k, v} ∪ D_k that
+// rootCandidate left in the arena, with u = LCA(v, d_1, ..., d_m), into
+// the pseudo tree of paper §V.B: unprocessed traffic follows the tree
+// path s_k→v; processed traffic serves v's subtree directly and
+// back-tracks from v to u for the remaining destinations. Shared by
+// CPPlanner.PlanContext and RepairReroute so a repaired tree has exactly
+// the structure a fresh plan would produce.
 func realizeSingleServer(
-	w *workGraph, req *multicast.Request, v graph.NodeID, st *graph.SteinerTree,
-	arena *PlanArena, linkCost func(e graph.EdgeID) float64,
-) (*multicast.PseudoTree, float64, error) {
-	rt, err := graph.NewRootedTree(w.g, st.EdgeIDs, req.Source)
-	if err != nil {
-		return nil, 0, err
-	}
-	arena.lcaArgs = append(arena.lcaArgs[:0], v)
-	arena.lcaArgs = append(arena.lcaArgs, req.Destinations...)
-	u, err := rt.LCAAll(arena.lcaArgs...)
-	if err != nil {
-		return nil, 0, err
-	}
-
+	w *workGraph, req *multicast.Request, v, u graph.NodeID, arena *PlanArena,
+) (*multicast.PseudoTree, error) {
 	tree := multicast.NewPseudoTree(req.Source, req.Destinations, []graph.NodeID{v})
+	rt := &arena.rt
+	addPath := func(from, to graph.NodeID, processed bool) error {
+		var err error
+		arena.pathNodes, arena.pathEdges, err = rt.AppendPath(arena.pathNodes[:0], arena.pathEdges[:0], from, to)
+		if err != nil {
+			return err
+		}
+		return w.addHostPath(tree, arena.pathNodes, arena.pathEdges, processed)
+	}
 
 	// Unprocessed: source down the tree to the server.
-	nodes, edges, err := rt.PathBetween(req.Source, v)
-	if err != nil {
-		return nil, 0, err
+	if err := addPath(req.Source, v, false); err != nil {
+		return nil, err
 	}
-	if err := w.addHostPath(tree, nodes, edges, false); err != nil {
-		return nil, 0, err
-	}
-
 	// Processed: back-track v → u, then fan out u → d and v → d.
-	var retCost float64
-	nodes, edges, err = rt.PathBetween(v, u)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := w.addHostPath(tree, nodes, edges, true); err != nil {
-		return nil, 0, err
-	}
-	for _, e := range edges {
-		retCost += linkCost(w.hostEdge(e))
+	if err := addPath(v, u, true); err != nil {
+		return nil, err
 	}
 	for _, d := range req.Destinations {
 		start := u
 		if onPath, perr := rt.LCA(v, d); perr == nil && onPath == v {
 			start = v // d lies in v's subtree: serve it directly
 		}
-		nodes, edges, err = rt.PathBetween(start, d)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := w.addHostPath(tree, nodes, edges, true); err != nil {
-			return nil, 0, err
+		if err := addPath(start, d, true); err != nil {
+			return nil, err
 		}
 	}
-	return tree, retCost, nil
+	return tree, nil
 }
 
 // IsRejection reports whether err represents an admission-policy

@@ -67,9 +67,11 @@ func RepairReroute(
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
-	tree, _, err := realizeSingleServer(w, req, server, st, arena, func(e graph.EdgeID) float64 {
-		return nw.LinkUnitCost(e) * req.BandwidthMbps
-	})
+	u, err := arena.rootCandidate(w, req, server, st)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
+	}
+	tree, err := realizeSingleServer(w, req, server, u, arena)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"nfvmcast/internal/graph"
 	"nfvmcast/internal/multicast"
 	"nfvmcast/internal/sdn"
@@ -66,19 +68,16 @@ func buildWorkGraph(
 	return &workGraph{g: g, toHost: toHost, fromHost: fromHost, servers: servers}
 }
 
-// hostPath converts a local (nodes, edges) path to host edge IDs.
-func (w *workGraph) hostPath(edges []graph.EdgeID) []graph.EdgeID {
-	out := make([]graph.EdgeID, len(edges))
-	for i, e := range edges {
-		out[i] = w.toHost[e]
-	}
-	return out
-}
-
 // addHostPath appends a directed walk (local IDs) to a pseudo tree,
 // translating edges to host IDs.
 func (w *workGraph) addHostPath(
 	t *multicast.PseudoTree, nodes []graph.NodeID, edges []graph.EdgeID, processed bool,
 ) error {
-	return t.AddPath(nodes, w.hostPath(edges), processed)
+	if len(nodes) != len(edges)+1 {
+		return fmt.Errorf("core: path shape mismatch (%d nodes, %d edges)", len(nodes), len(edges))
+	}
+	for i, e := range edges {
+		t.AddHop(multicast.Hop{From: nodes[i], To: nodes[i+1], Edge: w.toHost[e], Processed: processed})
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrNotATree is returned when a supplied edge set does not form a tree
@@ -14,6 +15,10 @@ var ErrNotATree = errors.New("graph: edge set is not a tree")
 // the root, lowest common ancestors (binary lifting), and tree paths.
 // Node IDs are those of the host graph; nodes outside the tree are
 // reported via InTree.
+//
+// The zero value is an empty tree ready for Reset, which re-roots it
+// over a new edge set while reusing every array, so a caller rooting
+// many candidate trees in turn allocates only while its buffers grow.
 type RootedTree struct {
 	root       NodeID
 	host       *Graph
@@ -24,52 +29,57 @@ type RootedTree struct {
 	distRoot   []float64 // weighted distance to root
 	up         [][]NodeID
 	order      []NodeID // preorder
+
+	adj   [][]halfEdge // per node: incident tree edges in insertion order
+	nodes []NodeID     // nodes the edge set touches, root first
+	stack []NodeID     // DFS scratch
 }
 
 // NewRootedTree roots the tree formed by edgeIDs (edges of host) at
 // root. The edge set must be acyclic and connected and must contain
 // root (an isolated root with zero edges is also valid).
 func NewRootedTree(host *Graph, edgeIDs []EdgeID, root NodeID) (*RootedTree, error) {
-	n := host.NumNodes()
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("%w: root %d with n=%d", ErrNodeOutOfRange, root, n)
+	t := new(RootedTree)
+	if err := t.Reset(host, edgeIDs, root); err != nil {
+		return nil, err
 	}
-	adj := make(map[NodeID][]halfEdge)
-	nodeSet := map[NodeID]struct{}{root: {}}
+	return t, nil
+}
+
+// Reset re-roots t at root over the tree formed by edgeIDs (edges of
+// host), with the same contract as NewRootedTree. It reuses t's arrays;
+// work is proportional to the edge set, plus host.NumNodes() only when
+// the host size changes. On error t holds no usable tree until the
+// next successful Reset.
+func (t *RootedTree) Reset(host *Graph, edgeIDs []EdgeID, root NodeID) error {
+	t.prepare(host.NumNodes())
+	n := len(t.inTree)
+	if root < 0 || root >= n {
+		return fmt.Errorf("%w: root %d with n=%d", ErrNodeOutOfRange, root, n)
+	}
+	t.root, t.host = root, host
+	t.nodes = append(t.nodes, root)
 	for _, id := range edgeIDs {
 		e := host.Edge(id)
-		adj[e.U] = append(adj[e.U], halfEdge{to: e.V, id: id})
-		adj[e.V] = append(adj[e.V], halfEdge{to: e.U, id: id})
-		nodeSet[e.U] = struct{}{}
-		nodeSet[e.V] = struct{}{}
-	}
-	t := &RootedTree{
-		root:       root,
-		host:       host,
-		inTree:     make([]bool, n),
-		parentNode: make([]NodeID, n),
-		parentEdge: make([]EdgeID, n),
-		depth:      make([]int, n),
-		distRoot:   make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		t.parentNode[i] = -1
-		t.parentEdge[i] = -1
+		t.touch(e.U)
+		t.adj[e.U] = append(t.adj[e.U], halfEdge{to: e.V, id: id})
+		t.touch(e.V)
+		t.adj[e.V] = append(t.adj[e.V], halfEdge{to: e.U, id: id})
 	}
 	// Iterative DFS from the root.
-	stack := []NodeID{root}
+	t.stack = append(t.stack[:0], root)
 	t.inTree[root] = true
 	visitedEdges := 0
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for len(t.stack) > 0 {
+		v := t.stack[len(t.stack)-1]
+		t.stack = t.stack[:len(t.stack)-1]
 		t.order = append(t.order, v)
-		for _, h := range adj[v] {
+		for _, h := range t.adj[v] {
 			if h.id == t.parentEdge[v] {
 				continue
 			}
 			if t.inTree[h.to] {
-				return nil, fmt.Errorf("%w: cycle through node %d", ErrNotATree, h.to)
+				return fmt.Errorf("%w: cycle through node %d", ErrNotATree, h.to)
 			}
 			t.inTree[h.to] = true
 			t.parentNode[h.to] = v
@@ -77,37 +87,84 @@ func NewRootedTree(host *Graph, edgeIDs []EdgeID, root NodeID) (*RootedTree, err
 			t.depth[h.to] = t.depth[v] + 1
 			t.distRoot[h.to] = t.distRoot[v] + host.Weight(h.id)
 			visitedEdges++
-			stack = append(stack, h.to)
+			t.stack = append(t.stack, h.to)
 		}
 	}
 	if visitedEdges != len(edgeIDs) {
-		return nil, fmt.Errorf("%w: %d edges unreachable from root %d",
+		return fmt.Errorf("%w: %d edges unreachable from root %d",
 			ErrNotATree, len(edgeIDs)-visitedEdges, root)
 	}
-	if len(t.order) != len(nodeSet) {
-		return nil, fmt.Errorf("%w: disconnected from root %d", ErrNotATree, root)
+	if len(t.order) != len(t.nodes) {
+		return fmt.Errorf("%w: disconnected from root %d", ErrNotATree, root)
 	}
 	t.buildLifting()
-	return t, nil
+	return nil
 }
 
+// touch records v as a node of the edge set on first sight. A node
+// other than the root is new exactly while its adjacency is empty,
+// because every touch is followed by an append to it.
+func (t *RootedTree) touch(v NodeID) {
+	if v != t.root && len(t.adj[v]) == 0 {
+		t.nodes = append(t.nodes, v)
+	}
+}
+
+// prepare sizes the per-node arrays for an n-node host and resets the
+// entries the previous edge set touched (all of them on a size change).
+func (t *RootedTree) prepare(n int) {
+	if len(t.inTree) != n {
+		t.inTree = make([]bool, n)
+		t.parentNode = make([]NodeID, n)
+		t.parentEdge = make([]EdgeID, n)
+		t.depth = make([]int, n)
+		t.distRoot = make([]float64, n)
+		t.adj = make([][]halfEdge, n)
+		for v := 0; v < n; v++ {
+			t.parentNode[v] = -1
+			t.parentEdge[v] = -1
+		}
+	} else {
+		for _, v := range t.nodes {
+			t.inTree[v] = false
+			t.parentNode[v] = -1
+			t.parentEdge[v] = -1
+			t.depth[v] = 0
+			t.distRoot[v] = 0
+			t.adj[v] = t.adj[v][:0]
+		}
+	}
+	t.nodes = t.nodes[:0]
+	t.order = t.order[:0]
+}
+
+// buildLifting fills the binary-lifting table for the tree's nodes.
+// Level 0 is parentNode itself; higher levels reuse the arrays of
+// earlier trees. Entries of nodes outside the tree are stale and never
+// read: every query starts inside the tree, and ancestors of tree nodes
+// are tree nodes.
 func (t *RootedTree) buildLifting() {
 	levels := 1
 	for 1<<levels < len(t.order)+1 {
 		levels++
 	}
-	t.up = make([][]NodeID, levels)
 	n := len(t.parentNode)
-	t.up[0] = make([]NodeID, n)
-	copy(t.up[0], t.parentNode)
+	t.up = append(t.up[:0], t.parentNode)
 	for k := 1; k < levels; k++ {
-		t.up[k] = make([]NodeID, n)
-		for v := 0; v < n; v++ {
-			mid := t.up[k-1][v]
-			if mid == -1 {
-				t.up[k][v] = -1
+		var cur []NodeID
+		if k < cap(t.up) {
+			cur = t.up[:k+1][k]
+		}
+		if len(cur) != n {
+			cur = make([]NodeID, n)
+		}
+		t.up = append(t.up, cur)
+		prev := t.up[k-1]
+		for _, v := range t.order {
+			if mid := prev[v]; mid == -1 {
+				cur[v] = -1
 			} else {
-				t.up[k][v] = t.up[k-1][mid]
+				cur[v] = prev[mid]
 			}
 		}
 	}
@@ -191,9 +248,17 @@ func (t *RootedTree) LCAAll(nodes ...NodeID) (NodeID, error) {
 // PathBetween returns the unique tree path u→v as node and edge
 // sequences (nodes includes both endpoints).
 func (t *RootedTree) PathBetween(u, v NodeID) (nodes []NodeID, edges []EdgeID, err error) {
+	return t.AppendPath(nil, nil, u, v)
+}
+
+// AppendPath is PathBetween appending to caller-owned buffers: it
+// appends the path u→v to nodes and edges and returns the extended
+// slices, so a caller reusing its buffers walks paths without
+// allocating.
+func (t *RootedTree) AppendPath(nodes []NodeID, edges []EdgeID, u, v NodeID) ([]NodeID, []EdgeID, error) {
 	a, err := t.LCA(u, v)
 	if err != nil {
-		return nil, nil, err
+		return nodes, edges, err
 	}
 	// u up to LCA.
 	for at := u; at != a; at = t.parentNode[at] {
@@ -201,17 +266,14 @@ func (t *RootedTree) PathBetween(u, v NodeID) (nodes []NodeID, edges []EdgeID, e
 		edges = append(edges, t.parentEdge[at])
 	}
 	nodes = append(nodes, a)
-	// LCA down to v: collect then reverse.
-	var down []NodeID
-	var downE []EdgeID
+	// LCA down to v: append v up to the LCA, then reverse that tail.
+	n0, e0 := len(nodes), len(edges)
 	for at := v; at != a; at = t.parentNode[at] {
-		down = append(down, at)
-		downE = append(downE, t.parentEdge[at])
+		nodes = append(nodes, at)
+		edges = append(edges, t.parentEdge[at])
 	}
-	for i := len(down) - 1; i >= 0; i-- {
-		nodes = append(nodes, down[i])
-		edges = append(edges, downE[i])
-	}
+	slices.Reverse(nodes[n0:])
+	slices.Reverse(edges[e0:])
 	return nodes, edges, nil
 }
 

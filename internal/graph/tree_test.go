@@ -309,3 +309,99 @@ func TestSubtreeNodesOutside(t *testing.T) {
 		t.Fatalf("SubtreeNodes(out of tree) = %v, want nil", got)
 	}
 }
+
+// TestRootedTreeResetMatchesFresh re-roots one RootedTree over a stream
+// of random trees (and the occasional cycle, disconnected edge set or
+// host of another size) and checks every query against a freshly built
+// tree: Reset must leave nothing of the previous tree behind.
+func TestRootedTreeResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var reused RootedTree
+	for trial := 0; trial < 300; trial++ {
+		n := 40
+		if trial%50 == 49 {
+			n = 25 + rng.Intn(30)
+		}
+		g := New(n)
+		perm := rng.Perm(n)
+		k := 1 + rng.Intn(n)
+		ids := make([]EdgeID, 0, k)
+		for i := 1; i < k; i++ {
+			ids = append(ids, g.MustAddEdge(perm[rng.Intn(i)], perm[i], rng.Float64()*5))
+		}
+		switch {
+		case k > 2 && trial%7 == 3: // close a cycle
+			ids = append(ids, g.MustAddEdge(perm[0], perm[k-1], 1))
+		case k > 2 && trial%7 == 5: // disconnect
+			ids = ids[1:]
+		}
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		root := perm[rng.Intn(k)]
+		fresh, ferr := NewRootedTree(g, ids, root)
+		rerr := reused.Reset(g, ids, root)
+		if (ferr == nil) != (rerr == nil) {
+			t.Fatalf("trial %d: fresh err %v, reset err %v", trial, ferr, rerr)
+		}
+		if ferr != nil {
+			continue
+		}
+		for v := 0; v < n; v++ {
+			if fresh.InTree(v) != reused.InTree(v) || fresh.Parent(v) != reused.Parent(v) ||
+				fresh.ParentEdge(v) != reused.ParentEdge(v) || fresh.Depth(v) != reused.Depth(v) ||
+				fresh.DistToRoot(v) != reused.DistToRoot(v) {
+				t.Fatalf("trial %d: node %d differs after Reset", trial, v)
+			}
+		}
+		nodes := fresh.Nodes()
+		if got := reused.Nodes(); !equalNodes(got, nodes) {
+			t.Fatalf("trial %d: preorder %v, want %v", trial, got, nodes)
+		}
+		for _, u := range nodes {
+			if !equalNodes(reused.SubtreeNodes(u), fresh.SubtreeNodes(u)) {
+				t.Fatalf("trial %d: SubtreeNodes(%d) differs", trial, u)
+			}
+			for _, v := range nodes {
+				a1, _ := fresh.LCA(u, v)
+				a2, _ := reused.LCA(u, v)
+				p1, e1, _ := fresh.PathBetween(u, v)
+				p2, e2, _ := reused.PathBetween(u, v)
+				if a1 != a2 || !equalNodes(p1, p2) || !equalNodes(e1, e2) {
+					t.Fatalf("trial %d: LCA/path(%d,%d) differs", trial, u, v)
+				}
+			}
+		}
+	}
+}
+
+func equalNodes(a, b []NodeID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestRootedTreeResetDoesNotAllocate(t *testing.T) {
+	g, _ := buildSampleTree(t)
+	small := []EdgeID{0, 2}
+	all := []EdgeID{0, 1, 2, 3, 4, 5}
+	var rt RootedTree
+	if err := rt.Reset(g, all, 0); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := rt.Reset(g, small, 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Reset(g, all, 6); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Reset allocates %v times per run, want 0", allocs)
+	}
+}
