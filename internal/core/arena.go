@@ -5,13 +5,15 @@ import (
 )
 
 // PlanArena owns the per-plan scratch memory of the online planners:
-// the Dijkstra workspace and Steiner scratch of the per-candidate KMB
-// runs, the rooted tree each candidate is scored on, the hoisted
-// terminal, LCA argument and tree-path slices, and the closure
-// evaluator's per-candidate buffers. One arena serves one Plan call at
-// a time; the admission engine keeps one per planner worker so
-// concurrent planners never share scratch, and arena-less Plan calls
-// draw from a pool. The zero value is ready to use.
+// the Dijkstra workspace of the request's source and destination trees,
+// the Steiner scratch of the per-candidate KMB runs (each candidate is
+// KMB's tree-less extra terminal, so it adds no Dijkstra), the rooted
+// tree each candidate is scored on, the hoisted terminal, LCA argument
+// and tree-path slices, and the closure evaluator's per-candidate
+// buffers. One arena serves one Plan call at a time; the admission
+// engine keeps one per planner worker so concurrent planners never
+// share scratch, and arena-less Plan calls draw from a pool. The zero
+// value is ready to use.
 //
 // Arenas only relocate transient state — every planner result is
 // identical with or without one.
@@ -21,9 +23,8 @@ type PlanArena struct {
 	eval    evalScratch
 
 	rt      graph.RootedTree // the candidate Steiner tree, re-rooted per candidate
-	terms   []graph.NodeID
+	terms   []graph.NodeID   // the request's KMB terminals, parallel to sps
 	sps     []*graph.ShortestPaths
-	dstSPs  []*graph.ShortestPaths
 	lcaArgs []graph.NodeID
 
 	pathNodes []graph.NodeID // tree path being realised into a pseudo tree

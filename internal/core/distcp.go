@@ -196,14 +196,16 @@ func (p *DistCPPlanner) PlanContext(
 	}
 
 	// Destination-rooted Dijkstras are shared by every candidate
-	// terminal server's Steiner construction.
-	arena.dstSPs = arena.dstSPs[:0]
+	// terminal server's Steiner construction, which reads the server's
+	// closure row from them (see finalFor).
+	arena.terms = append(arena.terms[:0], req.Destinations...)
+	arena.sps = arena.sps[:0]
 	for _, d := range req.Destinations {
 		spD, derr := spc.fromWith(d, &arena.ws)
 		if derr != nil {
 			return nil, derr
 		}
-		arena.dstSPs = append(arena.dstSPs, spD)
+		arena.sps = append(arena.sps, spD)
 	}
 
 	funcs := req.Chain.Functions()
@@ -381,31 +383,25 @@ func (s *distSearch) hopTo(from, to graph.NodeID) distHop {
 
 // finalFor resolves the processed fan-out for terminal server v: the
 // Steiner tree over {v} ∪ D_k on the residual work graph, threshold (b)
-// per tree link, and its absolute link cost.
+// per tree link, and its absolute link cost. v is the tree-less extra
+// terminal of the destinations' KMB run, so it costs no Dijkstra.
 func (s *distSearch) finalFor(v graph.NodeID) distFinal {
 	if fin, ok := s.finals[v]; ok {
 		return fin
 	}
 	fin := distFinal{}
-	spV, err := s.spc.fromWith(v, &s.arena.ws)
+	st, err := graph.SteinerKMBWithExtra(s.w.g, s.arena.terms, s.arena.sps, v, &s.arena.steiner)
 	if err == nil {
-		s.arena.terms = append(s.arena.terms[:0], v)
-		s.arena.terms = append(s.arena.terms, s.req.Destinations...)
-		s.arena.sps = append(s.arena.sps[:0], spV)
-		s.arena.sps = append(s.arena.sps, s.arena.dstSPs...)
-		st, serr := graph.SteinerKMBWithSPs(s.w.g, s.arena.terms, s.arena.sps, &s.arena.steiner)
-		if serr == nil {
-			fin.ok = true
-			for _, e := range st.EdgeIDs {
-				if s.p.model.LinkWeight(s.nw, s.w.hostEdge(e)) >= s.p.model.SigmaE {
-					fin.ok = false
-					break
-				}
-				fin.cT += s.p.model.LinkCost(s.nw, s.w.hostEdge(e))
+		fin.ok = true
+		for _, e := range st.EdgeIDs {
+			if s.p.model.LinkWeight(s.nw, s.w.hostEdge(e)) >= s.p.model.SigmaE {
+				fin.ok = false
+				break
 			}
-			if fin.ok {
-				fin.edges = append([]graph.EdgeID(nil), st.EdgeIDs...)
-			}
+			fin.cT += s.p.model.LinkCost(s.nw, s.w.hostEdge(e))
+		}
+		if fin.ok {
+			fin.edges = append([]graph.EdgeID(nil), st.EdgeIDs...)
 		}
 	}
 	s.finals[v] = fin

@@ -17,12 +17,14 @@ import (
 // Online_CP decision goldens: a fixed Poisson timeline of arrivals and
 // departures is driven through a sequential Online_CP admitter, and the
 // SHA-256 of the decision transcript is pinned. Every line records the
-// chosen server, the selection and operational costs in shortest
-// round-trip form, and the full directed hop list, so any change to
-// which server wins, what it costs or how its pseudo-tree is realised
-// moves the hash. Unlike the equivalence oracles, which compare one
-// planner path with another, these constants pin the planner against
-// its own recorded past decisions.
+// chosen servers (comma-separated when a plan splits its chain), the
+// selection and operational costs in shortest round-trip form, and the
+// full directed hop list, so any change to which server wins, what it
+// costs or how its pseudo-tree is realised moves the hash. Unlike the
+// equivalence oracles, which compare one planner path with another,
+// these constants pin the planner against its own recorded past
+// decisions. The fat-tree case stresses tie-breaking: its uniform
+// structure offers many equal-length paths.
 var cpDecisionGoldens = []struct {
 	name     string
 	topo     func() (*topology.Topology, error)
@@ -46,6 +48,35 @@ var cpDecisionGoldens = []struct {
 		arrivals: 2400,
 		sha256:   "6539114e0c3532dcc68e3824bd6a51ce3230b3c1792fa8283455c9fd7b64265e",
 	},
+	{
+		name:     "fattree-k4",
+		topo:     func() (*topology.Topology, error) { return topology.FatTree(4, 42) },
+		erlangs:  320,
+		arrivals: 3200,
+		sha256:   "b4419f70896d36d0e183989411bc2437432523f1855ad76a0eae18fe9860ed04",
+	},
+}
+
+// distCPDecisionGoldenGEANT pins Dist_CP (split limit 2) on the same
+// GEANT timeline; its transcript lines list every segment host.
+const distCPDecisionGoldenGEANT = "a0688e24a1a000c77d3ebd5a9a15acced1a9d1cc0f0817747ebc30b99d5d5c4a"
+
+// newOnlineCPAdmitter and newDistCPAdmitter build the sequential
+// admitters the goldens replay through.
+func newOnlineCPAdmitter(nw *sdn.Network) (*Admitter, error) {
+	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	if err != nil {
+		return nil, err
+	}
+	return cp.Admitter, nil
+}
+
+func newDistCPAdmitter(nw *sdn.Network) (*Admitter, error) {
+	p, err := NewDistCPPlanner(DefaultCostModel(nw.NumNodes()), DefaultSplitLimit)
+	if err != nil {
+		return nil, err
+	}
+	return NewAdmitter(nw, p), nil
 }
 
 // goldenDeparture is a pending session end in the golden timeline.
@@ -67,15 +98,19 @@ func (q *goldenDepartures) Pop() interface{} {
 	return it
 }
 
-// cpTranscript replays the golden timeline and returns the transcript
-// hash plus the event, admit and reject counts.
-func cpTranscript(t *testing.T, topo *topology.Topology, erlangs float64, arrivals int) (sum string, events, admits, rejects int) {
+// decisionTranscript replays the golden timeline through the admitter
+// newAdm builds and returns the transcript hash plus the event, admit
+// and reject counts.
+func decisionTranscript(
+	t *testing.T, topo *topology.Topology, newAdm func(*sdn.Network) (*Admitter, error),
+	erlangs float64, arrivals int,
+) (sum string, events, admits, rejects int) {
 	t.Helper()
 	nw, err := sdn.NewNetwork(topo, sdn.DefaultConfig(), rand.New(rand.NewSource(42)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	adm, err := newAdm(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +129,14 @@ func cpTranscript(t *testing.T, topo *topology.Topology, erlangs float64, arriva
 		}
 		for pending.Len() > 0 && pending[0].at <= tr.ArrivalHours {
 			d := heap.Pop(&pending).(goldenDeparture)
-			if _, err := cp.Depart(d.id); err != nil {
+			if _, err := adm.Depart(d.id); err != nil {
 				t.Fatalf("depart %d: %v", d.id, err)
 			}
 			fmt.Fprintf(h, "d %d\n", d.id)
 			events++
 		}
 		events++
-		sol, err := cp.Admit(tr.Request)
+		sol, err := adm.Admit(tr.Request)
 		if err != nil {
 			if !IsRejection(err) {
 				t.Fatalf("admit %d: %v", tr.ID, err)
@@ -114,8 +149,14 @@ func cpTranscript(t *testing.T, topo *topology.Topology, erlangs float64, arriva
 		heap.Push(&pending, goldenDeparture{at: tr.DepartureHours, id: tr.ID})
 		line = append(line[:0], 'a', ' ')
 		line = strconv.AppendInt(line, int64(tr.ID), 10)
-		line = append(line, ' ')
-		line = strconv.AppendInt(line, int64(sol.Servers[0]), 10)
+		for i, v := range sol.Servers {
+			if i == 0 {
+				line = append(line, ' ')
+			} else {
+				line = append(line, ',')
+			}
+			line = strconv.AppendInt(line, int64(v), 10)
+		}
 		line = append(line, ' ')
 		line = strconv.AppendFloat(line, sol.SelectionCost, 'g', -1, 64)
 		line = append(line, ' ')
@@ -144,14 +185,26 @@ func TestOnlineCPDecisionGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum, events, admits, rejects := cpTranscript(t, topo, g.erlangs, g.arrivals)
-			t.Logf("%d events: %d admits, %d rejects, sha256 %s", events, admits, rejects, sum)
-			if events < 4000 || rejects == 0 || admits == 0 {
-				t.Fatalf("timeline too weak: %d events, %d admits, %d rejects", events, admits, rejects)
-			}
-			if sum != g.sha256 {
-				t.Fatalf("Online_CP transcript hash = %s, want %s", sum, g.sha256)
-			}
+			checkDecisionGolden(t, "Online_CP", topo, newOnlineCPAdmitter, g.erlangs, g.arrivals, g.sha256)
 		})
+	}
+}
+
+func TestDistCPDecisionGolden(t *testing.T) {
+	checkDecisionGolden(t, "Dist_CP", topology.GEANT(), newDistCPAdmitter, 160, 2400, distCPDecisionGoldenGEANT)
+}
+
+func checkDecisionGolden(
+	t *testing.T, planner string, topo *topology.Topology, newAdm func(*sdn.Network) (*Admitter, error),
+	erlangs float64, arrivals int, want string,
+) {
+	t.Helper()
+	sum, events, admits, rejects := decisionTranscript(t, topo, newAdm, erlangs, arrivals)
+	t.Logf("%d events: %d admits, %d rejects, sha256 %s", events, admits, rejects, sum)
+	if events < 4000 || rejects == 0 || admits == 0 {
+		t.Fatalf("timeline too weak: %d events, %d admits, %d rejects", events, admits, rejects)
+	}
+	if sum != want {
+		t.Fatalf("%s transcript hash = %s, want %s", planner, sum, want)
 	}
 }

@@ -123,23 +123,24 @@ func (p *CPPlanner) PlanContext(
 	// KMB needs one shortest-path tree per terminal, and every
 	// candidate server shares the terminals {s_k} ∪ D_k — so the
 	// source- and destination-rooted Dijkstras run once per request
-	// (through the epoch cache: once per residual state) instead of
-	// once per candidate, and each candidate only adds its own root.
+	// (through the epoch cache: once per residual state). The graph is
+	// undirected, so those trees also hold every closure distance and
+	// path to a candidate v: v joins each KMB run as the tree-less
+	// extra terminal, and a plan runs 1 + |D_k| Dijkstras whatever the
+	// number of candidates.
 	spSrc, err := spc.fromWith(req.Source, &arena.ws)
 	if err != nil {
 		return nil, err
 	}
-	arena.dstSPs = arena.dstSPs[:0]
-	dMax := 0.0 // farthest destination from the source
+	arena.terms = append(arena.terms[:0], req.Source)
+	arena.terms = append(arena.terms, req.Destinations...)
+	arena.sps = append(arena.sps[:0], spSrc)
 	for _, d := range req.Destinations {
 		spD, derr := spc.fromWith(d, &arena.ws)
 		if derr != nil {
 			return nil, derr
 		}
-		arena.dstSPs = append(arena.dstSPs, spD)
-		if dd := spSrc.Dist[d]; dd > dMax {
-			dMax = dd
-		}
+		arena.sps = append(arena.sps, spD)
 	}
 
 	var (
@@ -156,28 +157,10 @@ func (p *CPPlanner) PlanContext(
 		if p.model.ServerWeight(nw, v) >= p.model.SigmaV {
 			continue
 		}
-		// Admissible pre-KMB bound: any Steiner tree over
-		// {s_k, v} ∪ D_k contains a path s_k→v and a path to the
-		// farthest destination, so its cost is at least
-		// max(dist(s,v), max_d dist(s,d)); adding the server cost
-		// lower-bounds the selection cost before running KMB at all.
-		// A pruned candidate satisfies sel >= lower0 >= bestSelection
-		// and would lose the strict `sel < bestSelection` comparison,
-		// so the chosen server and tree are bit-identical with or
-		// without the pruning (spSrc.Dist[v] = Infinity reproduces the
-		// KMB-unreachable `continue`).
-		if lower0 := maxf(spSrc.Dist[v], dMax) + p.model.ServerCost(nw, v); lower0 >= bestSelection {
-			continue
-		}
-		spV, verr := spc.fromWith(v, &arena.ws)
-		if verr != nil {
-			continue
-		}
-		arena.terms = append(arena.terms[:0], req.Source, v)
-		arena.terms = append(arena.terms, req.Destinations...)
-		arena.sps = append(arena.sps[:0], spSrc, spV)
-		arena.sps = append(arena.sps, arena.dstSPs...)
-		st, err := graph.SteinerKMBWithSPs(w.g, arena.terms, arena.sps, &arena.steiner)
+		// No bound can skip KMB here: work-graph distances are
+		// marginal weights, positive even on idle links, while
+		// bestSelection is in absolute costs, where an idle link is 0.
+		st, err := graph.SteinerKMBWithExtra(w.g, arena.terms, arena.sps, v, &arena.steiner)
 		if err != nil {
 			continue // this server is cut off in the residual network
 		}
@@ -313,12 +296,3 @@ func realizeSingleServer(
 // IsRejection reports whether err represents an admission-policy
 // rejection (as opposed to an input error).
 func IsRejection(err error) bool { return errors.Is(err, ErrRejected) }
-
-// maxf is math.Max without the NaN/signed-zero ceremony — distances
-// here are non-negative and never NaN.
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

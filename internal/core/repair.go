@@ -53,7 +53,9 @@ func RepairReroute(
 		return nw.LinkUnitCost(e) * req.BandwidthMbps
 	})
 
-	arena.terms = append(arena.terms[:0], req.Source, server)
+	// The pinned server is KMB's tree-less extra terminal, as in
+	// CPPlanner.PlanContext: only {s_k} ∪ D_k need Dijkstras.
+	arena.terms = append(arena.terms[:0], req.Source)
 	arena.terms = append(arena.terms, req.Destinations...)
 	arena.sps = arena.sps[:0]
 	for _, t := range arena.terms {
@@ -63,7 +65,7 @@ func RepairReroute(
 		}
 		arena.sps = append(arena.sps, sp)
 	}
-	st, err := graph.SteinerKMBWithSPs(w.g, arena.terms, arena.sps, &arena.steiner)
+	st, err := graph.SteinerKMBWithExtra(w.g, arena.terms, arena.sps, server, &arena.steiner)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}

@@ -7,11 +7,14 @@ import (
 )
 
 // spCache memoizes single-source shortest-path trees per root over one
-// immutable work graph, so evaluation paths that revisit a root (the
-// source doubling as a candidate server, engine re-plans, and the
-// static planner's cross-request reuse) share one Dijkstra instead of
-// recomputing it. graph.ShortestPaths is immutable after construction,
-// so cached trees may be shared freely.
+// immutable work graph, so evaluation paths that revisit a root (engine
+// re-plans, requests that share a residual state, and the static
+// planner's cross-request reuse) share one Dijkstra instead of
+// recomputing it. Online_CP roots trees only at the source and the
+// destinations — candidate servers read their distances from those —
+// so an entry holds 1 + |D_k| trees, not one per candidate.
+// graph.ShortestPaths is immutable after construction, so cached trees
+// may be shared freely.
 //
 // The cache is safe for concurrent use. Misses are single-flighted:
 // concurrent requests for the same root block on one computation

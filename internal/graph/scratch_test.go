@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -154,6 +156,90 @@ func TestSteinerKMBWithSPsValidation(t *testing.T) {
 	tree, err := SteinerKMBWithSPs(g, []NodeID{0, 2}, []*ShortestPaths{sp0, sp2}, nil)
 	if err != nil || len(tree.EdgeIDs) != 2 {
 		t.Fatalf("valid call failed: %v %v", tree, err)
+	}
+}
+
+// TestSteinerKMBWithExtraMatchesFullTrees checks the tree-less extra
+// terminal against the full-tree call it replaces: on random graphs
+// with continuous weights, SteinerKMBWithExtra(terms, sps, v) must
+// return the same edges, weight and terminal set as SteinerKMBWithSPs
+// with v's own tree at index 1 (the order Online_CP used to build its
+// terminals in). One scratch serves every call, and v sometimes
+// repeats a terminal, so the deduplicated case is covered too.
+func TestSteinerKMBWithExtraMatchesFullTrees(t *testing.T) {
+	scratch := new(SteinerScratch)
+	sortedTerms := func(st *SteinerTree) []NodeID {
+		out := append([]NodeID(nil), st.Terminals...)
+		sort.Ints(out)
+		return out
+	}
+	dedups := 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(36)
+		g := randomConnectedGraph(rng, n, rng.Intn(2*n))
+		terms := make([]NodeID, 1+rng.Intn(5))
+		sps := make([]*ShortestPaths, len(terms))
+		for i := range terms {
+			terms[i] = rng.Intn(n)
+			sps[i], _ = Dijkstra(g, terms[i])
+		}
+		v := rng.Intn(n)
+		if seed%5 == 0 {
+			v = terms[rng.Intn(len(terms))]
+		}
+		for _, term := range terms {
+			if term == v {
+				dedups++
+				break
+			}
+		}
+		spV, _ := Dijkstra(g, v)
+		fullTerms := append([]NodeID{terms[0], v}, terms[1:]...)
+		fullSPs := append([]*ShortestPaths{sps[0], spV}, sps[1:]...)
+		want, err := SteinerKMBWithSPs(g, fullTerms, fullSPs, nil)
+		if err != nil {
+			t.Fatalf("seed %d: full trees: %v", seed, err)
+		}
+		got, err := SteinerKMBWithExtra(g, terms, sps, v, scratch)
+		if err != nil {
+			t.Fatalf("seed %d: extra terminal: %v", seed, err)
+		}
+		if !reflect.DeepEqual(got.EdgeIDs, want.EdgeIDs) || got.Weight != want.Weight {
+			t.Fatalf("seed %d: edges %v weight %v, want %v weight %v",
+				seed, got.EdgeIDs, got.Weight, want.EdgeIDs, want.Weight)
+		}
+		if gotT, wantT := sortedTerms(got), sortedTerms(want); !reflect.DeepEqual(gotT, wantT) {
+			t.Fatalf("seed %d: terminals %v, want %v", seed, gotT, wantT)
+		}
+		// Interleave an unrelated run so the reused scratch carries
+		// stale state into the next extra-terminal call.
+		if _, err := SteinerKMBScratch(g, []NodeID{0, n - 1}, scratch); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	if dedups == 0 {
+		t.Fatal("no case had the extra terminal repeat a terminal")
+	}
+
+	// An unreachable extra terminal disconnects the closure.
+	g := New(4)
+	g.MustAddEdge(0, 1, 1)
+	g.MustAddEdge(1, 2, 1)
+	sp0, _ := Dijkstra(g, 0)
+	sp2, _ := Dijkstra(g, 2)
+	terms, sps := []NodeID{0, 2}, []*ShortestPaths{sp0, sp2}
+	if _, err := SteinerKMBWithExtra(g, terms, sps, 3, scratch); !errors.Is(err, ErrDisconnected) {
+		t.Fatalf("unreachable extra terminal: err = %v, want ErrDisconnected", err)
+	}
+	for _, v := range []NodeID{-1, 4} {
+		if _, err := SteinerKMBWithExtra(g, terms, sps, v, scratch); !errors.Is(err, ErrNodeOutOfRange) {
+			t.Fatalf("extra terminal %d: err = %v, want ErrNodeOutOfRange", v, err)
+		}
+	}
+	st, err := SteinerKMBWithExtra(g, terms, sps, 1, scratch)
+	if err != nil || len(st.EdgeIDs) != 2 || len(st.Terminals) != 3 {
+		t.Fatalf("reachable extra terminal after errors: %+v, %v", st, err)
 	}
 }
 

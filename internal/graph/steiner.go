@@ -68,11 +68,11 @@ type SteinerScratch struct {
 	hostOf  []EdgeID
 	subMST  MST
 
-	isTerm   []bool   // step-5 pruning, indexed by compact node ID
-	deg      []int32  // likewise
+	isTerm   []bool    // step-5 pruning, indexed by compact node ID
+	deg      []int32   // likewise
 	incident [][]int32 // compact node -> incident sub-edge IDs
-	alive    []bool   // indexed by sub-edge ID
-	queue    []int32  // compact node IDs pending prune
+	alive    []bool    // indexed by sub-edge ID
+	queue    []int32   // compact node IDs pending prune
 }
 
 // ensure sizes the stamp arrays for a host graph with n nodes and m
@@ -129,17 +129,16 @@ func SteinerKMB(g *Graph, terminals []NodeID) (*SteinerTree, error) {
 // SteinerKMBScratch is SteinerKMB with caller-owned scratch, for hot
 // paths that run many KMB instances back to back.
 func SteinerKMBScratch(g *Graph, terminals []NodeID, scratch *SteinerScratch) (*SteinerTree, error) {
-	return steinerKMB(g, terminals, nil, scratch)
+	return steinerKMB(g, terminals, nil, noExtra, scratch)
 }
 
 // SteinerKMBWithSPs is SteinerKMB with step (1) supplied by the caller:
 // sps[i] must be the shortest-path tree of g rooted at terminals[i]
 // (sps is parallel to terminals; duplicate terminals are deduplicated
 // in lockstep). Callers that evaluate many terminal sets sharing most
-// roots — the online planner tries every candidate server against the
-// same {source} ∪ destinations — compute each root's Dijkstra once and
-// reuse it across all calls, cutting the per-call Dijkstra count to
-// zero. The result is identical to SteinerKMB on the same terminals.
+// roots compute each root's Dijkstra once and reuse it across all
+// calls, cutting the per-call Dijkstra count to zero. The result is
+// identical to SteinerKMB on the same terminals.
 func SteinerKMBWithSPs(
 	g *Graph, terminals []NodeID, sps []*ShortestPaths, scratch *SteinerScratch,
 ) (*SteinerTree, error) {
@@ -150,13 +149,48 @@ func SteinerKMBWithSPs(
 	if scratch == nil {
 		scratch = new(SteinerScratch)
 	}
-	return steinerKMB(g, terminals, sps, scratch)
+	return steinerKMB(g, terminals, sps, noExtra, scratch)
 }
+
+// SteinerKMBWithExtra is SteinerKMBWithSPs over terminals ∪ {extra},
+// where extra needs no shortest-path tree of its own. The graph is
+// undirected, so every closure distance and path touching extra is
+// already in the other terminals' trees: after deduplication extra
+// takes the last closure index, and closure edge (i, extra) reads
+// sps[i].Dist[extra] and expands along sps[i]'s path to extra. The
+// online planners score every candidate server v against the same
+// {source} ∪ destinations this way, with no Dijkstra rooted at v. Step
+// (4) works on the sorted edge union, so where shortest paths are
+// unique, listing extra last instead of giving it its own tree changes
+// neither the edges nor the weight of the result; between equal-length
+// paths it may expand along another, equally short one. When extra is
+// one of the terminals it is deduplicated like any other repeat.
+func SteinerKMBWithExtra(
+	g *Graph, terminals []NodeID, sps []*ShortestPaths, extra NodeID, scratch *SteinerScratch,
+) (*SteinerTree, error) {
+	if len(sps) != len(terminals) {
+		return nil, fmt.Errorf("graph: %d terminals with %d shortest-path trees",
+			len(terminals), len(sps))
+	}
+	if extra < 0 || extra >= g.NumNodes() {
+		return nil, fmt.Errorf("%w: terminal %d with n=%d", ErrNodeOutOfRange, extra, g.NumNodes())
+	}
+	if scratch == nil {
+		scratch = new(SteinerScratch)
+	}
+	return steinerKMB(g, terminals, sps, extra, scratch)
+}
+
+// noExtra tells steinerKMB that there is no tree-less extra terminal.
+const noExtra NodeID = -1
 
 // steinerKMB is the shared KMB pipeline. sps, when non-nil, supplies
 // the per-terminal shortest-path trees (parallel to terminals);
-// otherwise they are computed into the scratch.
-func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerScratch) (*SteinerTree, error) {
+// otherwise they are computed into the scratch. extra, unless noExtra,
+// is one more terminal without a tree (supplied sps only); it is
+// placed last, so step (2) reads its closure row from the other
+// terminals' trees and step (3) never expands from it.
+func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, extra NodeID, s *SteinerScratch) (*SteinerTree, error) {
 	n, m := g.NumNodes(), g.NumEdges()
 	for _, t := range terminals {
 		if t < 0 || t >= n {
@@ -184,6 +218,9 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 			s.dedupSPs = append(s.dedupSPs, sp)
 		}
 	}
+	if extra != noExtra && s.nodeGen[extra] != gen {
+		s.terms = append(s.terms, extra)
+	}
 	terms := s.terms
 	out := &SteinerTree{Terminals: append([]NodeID(nil), terms...)}
 	if len(terms) <= 1 {
@@ -207,6 +244,8 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 	}
 
 	// (2) MST of the metric closure (complete graph over terminals).
+	// Row i < j reads termSPs[i], so a tree-less extra terminal in the
+	// last slot is only ever read as a column.
 	s.closure.Reset(len(terms))
 	for i := 0; i < len(terms); i++ {
 		for j := i + 1; j < len(terms); j++ {
